@@ -17,10 +17,11 @@
 //!   systematic components.
 //! * [`static_metrics`] — transfer function, INL (endpoint and best-fit),
 //!   DNL, and Monte-Carlo INL yield (validates the paper's eq. (1)).
-//! * [`yield_engine`] — batched, allocation-free Monte-Carlo yield engine:
-//!   one mismatch draw per trial, INL/DNL/monotonicity fused into a single
-//!   pass (bit-identical to the scalar reference path), variance-reduced
-//!   draws, sequential early stopping and the supervised pooled driver.
+//! * [`yield_engine`] — lane-batched, allocation-free Monte-Carlo yield
+//!   engine: one mismatch draw per trial, INL/DNL/monotonicity decided by
+//!   a screened SoA lane classifier (bit-identical to the scalar reference
+//!   path), variance-reduced draws, sequential early stopping and the
+//!   supervised pooled driver.
 //! * [`transient`] — sample-accurate output waveform with two-pole
 //!   settling, skew and feedthrough; full-scale settling measurement
 //!   (Fig. 6).

@@ -4,10 +4,12 @@
 //! eq. (1) yield formula); a best-fit variant is provided for comparison.
 //! The Monte-Carlo yield estimator closes the loop on the paper's eq. (1):
 //! sizing the unit source at `σ = 1/(2·C·√2ⁿ)` must deliver (at least) the
-//! target yield.
+//! target yield. The three single-metric estimators below are thin
+//! wrappers over the lane run of the [`YieldEngine`].
 
 use crate::architecture::SegmentedDac;
 use crate::errors::CellErrors;
+use crate::yield_engine::{FusedYields, YieldEngine, YieldLimits, YieldMode};
 use core::fmt;
 use ctsdac_stats::rng::Rng;
 use ctsdac_stats::{StatsError, YieldEstimate};
@@ -88,7 +90,7 @@ impl TransferFunction {
     /// in index order, its unary cells in switching-rank order, and the
     /// level is `binary_part + unary_part`. [`Self::compute_fast`] uses
     /// the same convention, so the two paths agree **bitwise** — a
-    /// property the batched yield engine's cross-checks rely on (see the
+    /// property the yield engine's cross-checks rely on (see the
     /// `proptests` suite).
     pub fn compute(dac: &SegmentedDac, errors: &CellErrors) -> Self {
         let b = dac.spec().binary_bits;
@@ -215,9 +217,15 @@ impl TransferFunction {
 /// `max|INL| < inl_limit` (LSB). This is the experiment that validates the
 /// analytic spec of eq. (1).
 ///
+/// Each trial draws one mismatch vector from `rng` (the stream
+/// [`CellErrors::random`] consumes); the decisions are bit-identical to
+/// building each trial's [`TransferFunction`] and testing its
+/// [`TransferFunction::inl_max_abs`].
+///
 /// # Errors
 ///
 /// [`MetricError::InvalidLimit`] if `inl_limit` is not positive and finite;
+/// [`MetricError::InvalidSigma`] if `sigma_unit` is negative or not finite;
 /// [`MetricError::Stats`] if `trials == 0`.
 ///
 /// # Examples
@@ -243,12 +251,8 @@ pub fn inl_yield_mc<R: Rng + ?Sized>(
     trials: u64,
     rng: &mut R,
 ) -> Result<YieldEstimate, MetricError> {
-    positive_limit("INL", inl_limit)?;
-    Ok(YieldEstimate::run(rng, trials, |rng, _| {
-        let errors = CellErrors::random(dac, sigma_unit, rng);
-        let tf = TransferFunction::compute_fast(dac, &errors);
-        tf.inl_max_abs() < inl_limit
-    })?)
+    let limits = YieldLimits::new(inl_limit, 0.5)?;
+    Ok(lane_yields(dac, sigma_unit, limits, trials, rng)?.inl)
 }
 
 /// Monte-Carlo DNL yield: fraction of mismatch realisations with
@@ -260,6 +264,7 @@ pub fn inl_yield_mc<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// [`MetricError::InvalidLimit`] if `dnl_limit` is not positive and finite;
+/// [`MetricError::InvalidSigma`] if `sigma_unit` is negative or not finite;
 /// [`MetricError::Stats`] if `trials == 0`.
 pub fn dnl_yield_mc<R: Rng + ?Sized>(
     dac: &SegmentedDac,
@@ -268,12 +273,8 @@ pub fn dnl_yield_mc<R: Rng + ?Sized>(
     trials: u64,
     rng: &mut R,
 ) -> Result<YieldEstimate, MetricError> {
-    positive_limit("DNL", dnl_limit)?;
-    Ok(YieldEstimate::run(rng, trials, |rng, _| {
-        let errors = CellErrors::random(dac, sigma_unit, rng);
-        let tf = TransferFunction::compute_fast(dac, &errors);
-        tf.dnl_max_abs() < dnl_limit
-    })?)
+    let limits = YieldLimits::new(0.5, dnl_limit)?;
+    Ok(lane_yields(dac, sigma_unit, limits, trials, rng)?.dnl)
 }
 
 /// Monte-Carlo monotonicity yield: fraction of realisations with a
@@ -281,6 +282,7 @@ pub fn dnl_yield_mc<R: Rng + ?Sized>(
 ///
 /// # Errors
 ///
+/// [`MetricError::InvalidSigma`] if `sigma_unit` is negative or not finite;
 /// [`MetricError::Stats`] if `trials == 0`.
 pub fn monotonicity_yield_mc<R: Rng + ?Sized>(
     dac: &SegmentedDac,
@@ -288,10 +290,18 @@ pub fn monotonicity_yield_mc<R: Rng + ?Sized>(
     trials: u64,
     rng: &mut R,
 ) -> Result<YieldEstimate, MetricError> {
-    Ok(YieldEstimate::run(rng, trials, |rng, _| {
-        let errors = CellErrors::random(dac, sigma_unit, rng);
-        TransferFunction::compute_fast(dac, &errors).is_monotone()
-    })?)
+    Ok(lane_yields(dac, sigma_unit, YieldLimits::half_lsb(), trials, rng)?.monotonicity)
+}
+
+/// All three yields of one [`YieldMode::Lanes`] engine run.
+fn lane_yields<R: Rng + ?Sized>(
+    dac: &SegmentedDac,
+    sigma_unit: f64,
+    limits: YieldLimits,
+    trials: u64,
+    rng: &mut R,
+) -> Result<FusedYields, MetricError> {
+    YieldEngine::new(dac, sigma_unit, limits)?.run(YieldMode::Lanes, trials, rng)
 }
 
 #[cfg(test)]
@@ -473,5 +483,63 @@ mod tests {
             monotonicity_yield_mc(&dac, 0.01, 0, &mut rng),
             Err(MetricError::Stats(StatsError::NoTrials))
         );
+        // A bad sigma is a typed error on every estimator, never a panic.
+        for sigma in [f64::NAN, -0.01] {
+            let sigma_err = |r: Result<YieldEstimate, MetricError>| match r {
+                Err(MetricError::InvalidSigma { value }) => value.to_bits() == sigma.to_bits(),
+                _ => false,
+            };
+            assert!(
+                sigma_err(inl_yield_mc(&dac, sigma, 0.5, 10, &mut rng)),
+                "inl {sigma}"
+            );
+            assert!(
+                sigma_err(dnl_yield_mc(&dac, sigma, 0.5, 10, &mut rng)),
+                "dnl {sigma}"
+            );
+            assert!(
+                sigma_err(monotonicity_yield_mc(&dac, sigma, 10, &mut rng)),
+                "mono {sigma}"
+            );
+        }
+    }
+
+    #[test]
+    fn estimators_reproduce_the_per_trial_transfer_function_loop() {
+        // The per-trial transfer-function loop defines the three
+        // single-metric yields; the engine behind them must return the
+        // same estimates — and leave the caller's stream at the same
+        // position — for the same seed.
+        let spec = small_spec();
+        let n = spec.unary_source_count();
+        let shuffled = SegmentedDac::new(&spec).with_unary_order((0..n).rev().collect());
+        for dac in [SegmentedDac::new(&spec), shuffled] {
+            for (mult, trials, seed) in [(1.0, 64, 3u64), (2.0, 203, 99), (4.0, 77, 2024)] {
+                let sigma = spec.sigma_unit_spec() * mult;
+                let legacy = |metric: fn(&TransferFunction) -> bool| {
+                    let mut rng = seeded_rng(seed);
+                    let est = YieldEstimate::run(&mut rng, trials, |rng, _| {
+                        metric(&TransferFunction::compute_fast(
+                            &dac,
+                            &CellErrors::random(&dac, sigma, rng),
+                        ))
+                    })
+                    .unwrap();
+                    (est, rng.next_u64())
+                };
+                let mut rng = seeded_rng(seed);
+                let inl = inl_yield_mc(&dac, sigma, 0.5, trials, &mut rng).unwrap();
+                assert_eq!((inl, rng.next_u64()), legacy(|tf| tf.inl_max_abs() < 0.5));
+                let mut rng = seeded_rng(seed);
+                let dnl = dnl_yield_mc(&dac, sigma, 0.5, trials, &mut rng).unwrap();
+                assert_eq!((dnl, rng.next_u64()), legacy(|tf| tf.dnl_max_abs() < 0.5));
+                let mut rng = seeded_rng(seed);
+                let mono = monotonicity_yield_mc(&dac, sigma, trials, &mut rng).unwrap();
+                assert_eq!(
+                    (mono, rng.next_u64()),
+                    legacy(TransferFunction::is_monotone)
+                );
+            }
+        }
     }
 }

@@ -1,29 +1,26 @@
-//! Batched, allocation-free Monte-Carlo yield engine.
+//! Allocation-free, lane-batched Monte-Carlo yield engine.
 //!
-//! [`inl_yield_mc`](crate::static_metrics::inl_yield_mc) and its DNL /
-//! monotonicity siblings each re-draw independent mismatch samples,
-//! rebuild the whole transfer curve per trial and allocate `levels` /
-//! `inl` / `dnl` vectors on every iteration — three separate MC loops
-//! over the same physics. This module replaces them with one engine that
+//! Every converter yield of the workspace — the eq. (1) INL yield of
+//! [`inl_yield_mc`](crate::static_metrics::inl_yield_mc), its DNL and
+//! monotonicity siblings, the supervised and CRN drivers below — runs on
+//! one engine that
 //!
-//! * draws **one mismatch vector per trial** and evaluates all three
+//! * draws **one mismatch vector per trial** and decides all three
 //!   pass/fail metrics on it (common random numbers across metrics), and
-//! * computes INL, DNL and monotonicity in a **single fused pass** over
-//!   the transfer curve, writing into reusable [`YieldScratch`] buffers —
-//!   zero allocation per trial.
+//! * classifies trials `W` at a time through a structure-of-arrays
+//!   **lane kernel** ([`YieldMode::Lanes`]), writing into reusable scratch
+//!   buffers — zero allocation per trial.
 //!
-//! # Bit-identity guarantees
+//! # One production path, one oracle
 //!
-//! The fused pass is a loop restructure, not a numerical approximation:
-//! every floating-point expression matches the scalar reference chain
-//! ([`CellErrors::random`] → [`TransferFunction::compute_fast`] →
-//! `inl_max_abs`/`dnl_max_abs`/`is_monotone`) operation for operation, so
-//! [`YieldMode::Batched`] and [`YieldMode::Reference`] produce
-//! **bit-identical** metrics — and therefore identical yield counts — for
-//! the same RNG stream. The scalar path is kept precisely for that
-//! cross-check. On top, the supervised driver
-//! ([`fused_yields_supervised`]) keeps per-chunk seeded RNG streams, so
-//! pooled results are bit-identical for any `--jobs` value.
+//! [`YieldMode::Lanes`] is the production path; [`YieldMode::Reference`]
+//! is its oracle, the scalar allocating chain ([`CellErrors::random`] →
+//! [`TransferFunction::compute_fast`] → `inl_max_abs`/`dnl_max_abs`/
+//! `is_monotone`). The two make **bit-identical** decisions — and
+//! therefore identical yield counts — for the same RNG stream, at any
+//! lane width. The supervised driver ([`fused_yields_supervised`]) keeps
+//! per-chunk seeded RNG streams, so pooled results are bit-identical for
+//! any `--jobs` value and in either mode.
 //!
 //! # The screened classifier
 //!
@@ -37,11 +34,12 @@
 //! exact fused-pass floats by bounded rounding noise, so the classifier
 //! brackets each metric inside a rigorous 64-ulp band and decides
 //! pass/fail only when the limit lies outside the band; the rare trial
-//! whose metric grazes its limit falls back to the exact fused walk.
-//! Decisions — and therefore yield counts — remain **bit-identical** to
-//! the exact pass (and hence to [`YieldMode::Reference`]), while the
-//! per-trial work drops from one full transfer curve (4096 codes at
-//! 12 bits) to one block scan (~272 codes' worth).
+//! whose metric grazes its limit falls back to the exact fused walk, a
+//! loop restructure of the reference chain that matches it operation for
+//! operation. Decisions — and therefore yield counts — remain
+//! **bit-identical** to [`YieldMode::Reference`], while the per-trial work
+//! drops from one full transfer curve (4096 codes at 12 bits) to one block
+//! scan (~272 codes' worth).
 //!
 //! # Variance reduction and early stopping
 //!
@@ -58,7 +56,9 @@ use crate::errors::CellErrors;
 use crate::static_metrics::{positive_limit, MetricError, TransferFunction};
 use core::fmt;
 use ctsdac_obs as obs;
-use ctsdac_runtime::{yield_vector_supervised, ExecPolicy, McPlan, RuntimeError, Supervised};
+use ctsdac_runtime::{
+    yield_vector_supervised_chunked, ExecPolicy, McPlan, RuntimeError, Supervised,
+};
 use ctsdac_stats::rng::Rng;
 use ctsdac_stats::sample::NormalSampler;
 use ctsdac_stats::{
@@ -68,12 +68,20 @@ use ctsdac_stats::{
 /// Which evaluation path a yield run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YieldMode {
-    /// The fused single-pass engine (the production path).
-    Batched,
-    /// The scalar allocating chain (`CellErrors` → `TransferFunction`),
-    /// kept for bitwise cross-checks against `Batched`.
+    /// The production path: the screened lane classifier, eight trials
+    /// per group (one lane where trials are drawn one at a time),
+    /// with the exact fused walk for limit-grazing trials and for
+    /// [`YieldEngine::trial`]'s metric values.
+    Lanes,
+    /// The oracle: the scalar allocating chain (`CellErrors` →
+    /// `TransferFunction`), kept for bitwise cross-checks against `Lanes`.
     Reference,
 }
+
+/// Lane width of the production path. Eight `f64` lanes span two AVX-512 /
+/// four SSE2 vectors; the certified widths 4 and 8 are both exercised by
+/// the lane-differential tests.
+const LANE_W: usize = 8;
 
 /// The pass/fail metric a sequential test gates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,8 +202,8 @@ pub struct YieldScratch {
 }
 
 impl YieldScratch {
-    /// Allocates scratch sized for `dac` (the only allocation the
-    /// batched path ever performs).
+    /// Allocates scratch sized for `dac` (once per engine; trials never
+    /// allocate).
     pub fn for_dac(dac: &SegmentedDac) -> Self {
         let seg = 1usize << dac.spec().binary_bits;
         Self {
@@ -212,7 +220,7 @@ impl YieldScratch {
 /// build and the screens run as straight-line elementwise loops the
 /// compiler autovectorizes. Sized once per run and overwritten per
 /// group.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LaneScratch<const W: usize> {
     /// Transposed standard-normal draws: `zs[cell][lane]`.
     zs: Vec<[f64; W]>,
@@ -239,7 +247,7 @@ impl<const W: usize> LaneScratch<W> {
     }
 }
 
-/// Batched Monte-Carlo yield engine for one converter instance.
+/// Lane-batched Monte-Carlo yield engine for one converter instance.
 ///
 /// # Examples
 ///
@@ -256,7 +264,7 @@ impl<const W: usize> LaneScratch<W> {
 /// let mut engine = YieldEngine::new(&dac, spec.sigma_unit_spec(),
 ///                                   YieldLimits::half_lsb())?;
 /// let mut rng = seeded_rng(42);
-/// let yields = engine.run(YieldMode::Batched, 200, &mut rng)?;
+/// let yields = engine.run(YieldMode::Lanes, 200, &mut rng)?;
 /// assert!(yields.inl.estimate() > 0.95);
 /// // CRN: the three metrics came from the same 200 draws.
 /// assert_eq!(yields.dnl.trials(), 200);
@@ -278,6 +286,8 @@ pub struct YieldEngine<'a> {
     /// same float `weights[cell] as f64` yields in the reference chain).
     unary_w: Vec<f64>,
     scratch: YieldScratch,
+    /// Single-lane scratch for trials drawn one at a time.
+    single: LaneScratch<1>,
     codes_scanned: u64,
     trials_run: u64,
     fallbacks: u64,
@@ -315,6 +325,7 @@ impl<'a> YieldEngine<'a> {
             unary_cells,
             unary_w,
             scratch: YieldScratch::for_dac(dac),
+            single: LaneScratch::for_dac(dac),
             codes_scanned: 0,
             trials_run: 0,
             fallbacks: 0,
@@ -352,43 +363,33 @@ impl<'a> YieldEngine<'a> {
         self.fallbacks
     }
 
-    /// Draws one trial's standard-normal vector into the scratch — a
-    /// fresh [`NormalSampler`] per trial, bit-identical to the stream
-    /// [`CellErrors::random`] consumes.
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let mut sampler = NormalSampler::new();
-        sampler.fill(rng, &mut self.scratch.zs);
-    }
-
     /// Evaluates one trial: draw a mismatch vector, compute all three
-    /// metrics on it through the chosen path.
+    /// exact metrics on it — by the fused walk in [`YieldMode::Lanes`], by
+    /// the scalar chain in [`YieldMode::Reference`].
     pub fn trial<R: Rng + ?Sized>(&mut self, mode: YieldMode, rng: &mut R) -> FusedMetrics {
-        self.draw(rng);
-        self.eval(mode)
-    }
-
-    /// Draws one trial and returns its pass/fail flags in
-    /// `[inl, dnl, monotonicity]` order. For [`YieldMode::Batched`] this
-    /// takes the screened-classifier fast path; the decisions are
-    /// bit-identical to [`Self::trial`]`.flags(..)` in either mode.
-    pub fn trial_flags<R: Rng + ?Sized>(&mut self, mode: YieldMode, rng: &mut R) -> [bool; 3] {
-        self.draw(rng);
-        match mode {
-            YieldMode::Batched => self.classify_batched(),
-            YieldMode::Reference => {
-                let m = self.eval(YieldMode::Reference);
-                m.flags(&self.limits)
-            }
-        }
-    }
-
-    /// Evaluates the metrics of the already-drawn trial vector.
-    fn eval(&mut self, mode: YieldMode) -> FusedMetrics {
+        normal_fill(rng)(&mut self.scratch.zs);
         self.trials_run += 1;
         obs::incr(obs::Counter::YieldTrials);
         match mode {
-            YieldMode::Batched => self.eval_batched(),
+            YieldMode::Lanes => self.eval_batched(),
             YieldMode::Reference => self.eval_reference(),
+        }
+    }
+
+    /// Draws one trial and returns its pass/fail flags in
+    /// `[inl, dnl, monotonicity]` order. [`YieldMode::Lanes`] classifies
+    /// it through a single-lane group; the decisions are bit-identical to
+    /// [`Self::trial`]`.flags(..)` in either mode.
+    pub fn trial_flags<R: Rng + ?Sized>(&mut self, mode: YieldMode, rng: &mut R) -> [bool; 3] {
+        match mode {
+            YieldMode::Lanes => {
+                let mut ls = std::mem::take(&mut self.single);
+                let mut flags = [false; 3];
+                self.classify_stream(&mut ls, 1, normal_fill(rng), |f| flags = f);
+                self.single = ls;
+                flags
+            }
+            YieldMode::Reference => self.trial(YieldMode::Reference, rng).flags(&self.limits),
         }
     }
 
@@ -467,174 +468,6 @@ impl<'a> YieldEngine<'a> {
         }
     }
 
-    /// The screened classifier: rebuild the segmented tables, then decide
-    /// all three pass/fail flags from `O(2^b + n_unary)` screened
-    /// quantities instead of walking all `2^n` codes. Each screened value
-    /// sits within a rigorous rounding band of its exact fused-pass
-    /// float; a metric whose limit falls inside the band is resolved by
-    /// the exact pass, so decisions are bit-identical to
-    /// [`Self::eval_batched`] (and hence to the scalar reference chain).
-    fn classify_batched(&mut self) -> [bool; 3] {
-        self.trials_run += 1;
-        obs::incr(obs::Counter::YieldTrials);
-        let dac = self.dac;
-        let n_bin = dac.spec().binary_bits as usize;
-        let seg = 1usize << n_bin;
-        let n_unary = dac.n_unary();
-        let weights = dac.weights();
-        let s = &mut self.scratch;
-
-        // Segmented tables with `rel = scale ⊙ z` inlined per cell. The
-        // expression trees match `eval_batched` (`rel[i]` there is a pure
-        // temporary), so the tables hold bitwise the same floats.
-        for (r, slot) in s.bin_levels.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for i in 0..n_bin {
-                if (r >> i) & 1 == 1 {
-                    acc += weights[i] as f64 * (1.0 + self.scale[i] * s.zs[i]);
-                }
-            }
-            *slot = acc;
-        }
-        s.unary_cum[0] = 0.0;
-        let mut acc = 0.0;
-        for (rank, (&cell, &w)) in self.unary_cells.iter().zip(&self.unary_w).enumerate() {
-            acc += w * (1.0 + self.scale[cell] * s.zs[cell]);
-            s.unary_cum[rank + 1] = acc;
-        }
-
-        let n_codes = dac.max_code() + 1;
-        let first = s.bin_levels[0] + s.unary_cum[0];
-        let last = s.bin_levels[seg - 1] + s.unary_cum[n_unary];
-        let gain = (last - first) / (n_codes - 1) as f64;
-
-        // Rounding slack: every screened quantity below differs from its
-        // exact fused-pass float by at most ~20 ulps of the full-scale
-        // magnitude (both sides read the *same* table floats; the error
-        // comes only from re-associating a handful of adds/multiplies).
-        // 64 ulps leaves a 3x safety factor.
-        let mag = 1.0f64
-            .max(first.abs())
-            .max(last.abs())
-            .max((gain * (n_codes - 1) as f64).abs());
-        let eps = 64.0 * f64::EPSILON * mag;
-
-        // INL screen: with code k = t·2^b + r, the endpoint-fit INL is
-        // (in real arithmetic) A_r + B_t, so max_k |INL| is reached at
-        // one of the two A extremes of every block.
-        let mut a_min = f64::INFINITY;
-        let mut a_max = f64::NEG_INFINITY;
-        for (r, &bl) in s.bin_levels.iter().enumerate() {
-            let a = bl - gain * r as f64;
-            a_min = a_min.min(a);
-            a_max = a_max.max(a);
-        }
-        // |A + b| is convex in b, so the worst code lies at a B extreme.
-        // Two reduction lanes keep the min/max latency chains off the
-        // critical path; max-folding is order-independent here.
-        let mut b_lo = [f64::INFINITY; 2];
-        let mut b_hi = [f64::NEG_INFINITY; 2];
-        let mut t = 0usize;
-        while t + 2 <= n_unary + 1 {
-            let b0 = (s.unary_cum[t] - gain * (t * seg) as f64) - first;
-            let b1 = (s.unary_cum[t + 1] - gain * ((t + 1) * seg) as f64) - first;
-            b_lo[0] = b_lo[0].min(b0);
-            b_hi[0] = b_hi[0].max(b0);
-            b_lo[1] = b_lo[1].min(b1);
-            b_hi[1] = b_hi[1].max(b1);
-            t += 2;
-        }
-        if t <= n_unary {
-            let b = (s.unary_cum[t] - gain * (t * seg) as f64) - first;
-            b_lo[0] = b_lo[0].min(b);
-            b_hi[0] = b_hi[0].max(b);
-        }
-        let b_min = b_lo[0].min(b_lo[1]);
-        let b_max = b_hi[0].max(b_hi[1]);
-        let inl_screen = (a_max + b_max)
-            .abs()
-            .max((a_max + b_min).abs())
-            .max((a_min + b_max).abs())
-            .max((a_min + b_min).abs());
-
-        // In-block DNL / monotonicity: within a unary block every step is
-        // a binary delta, identical across blocks up to rounding.
-        let mut block_dnl = 0.0f64;
-        let mut block_min_diff = f64::INFINITY;
-        for r in 1..seg {
-            let diff = s.bin_levels[r] - s.bin_levels[r - 1];
-            block_dnl = block_dnl.max((diff - 1.0).abs());
-            block_min_diff = block_min_diff.min(diff);
-        }
-
-        // Block-boundary codes (residue wraps 2^b−1 → 0): only n_unary of
-        // them, evaluated with the exact fused-pass expressions, again in
-        // two reduction lanes.
-        let bl_first = s.bin_levels[0];
-        let bl_last = s.bin_levels[seg - 1];
-        let mut bd = [0.0f64; 2];
-        let mut boundary_monotone = true;
-        let mut t = 1usize;
-        while t + 1 <= n_unary {
-            let prev0 = bl_last + s.unary_cum[t - 1];
-            let level0 = bl_first + s.unary_cum[t];
-            let dnl0 = level0 - prev0 - 1.0;
-            bd[0] = bd[0].max(dnl0.abs());
-            boundary_monotone &= level0 >= prev0;
-            let prev1 = bl_last + s.unary_cum[t];
-            let level1 = bl_first + s.unary_cum[t + 1];
-            let dnl1 = level1 - prev1 - 1.0;
-            bd[1] = bd[1].max(dnl1.abs());
-            boundary_monotone &= level1 >= prev1;
-            t += 2;
-        }
-        if t <= n_unary {
-            let prev = bl_last + s.unary_cum[t - 1];
-            let level = bl_first + s.unary_cum[t];
-            let dnl = level - prev - 1.0;
-            bd[0] = bd[0].max(dnl.abs());
-            boundary_monotone &= level >= prev;
-        }
-        let boundary_dnl = bd[0].max(bd[1]);
-        self.codes_scanned += (seg + n_unary + 1) as u64;
-        obs::count(obs::Counter::YieldCodesScanned, (seg + n_unary + 1) as u64);
-
-        let inl_pass = if inl_screen + eps < self.limits.inl {
-            Some(true)
-        } else if inl_screen - eps >= self.limits.inl {
-            Some(false)
-        } else {
-            None
-        };
-        let dnl_lo = boundary_dnl.max(block_dnl - eps);
-        let dnl_hi = boundary_dnl.max(block_dnl + eps);
-        let dnl_pass = if dnl_hi < self.limits.dnl {
-            Some(true)
-        } else if dnl_lo >= self.limits.dnl {
-            Some(false)
-        } else {
-            None
-        };
-        let mono = if !boundary_monotone || block_min_diff < -eps {
-            Some(false)
-        } else if block_min_diff > eps {
-            Some(true)
-        } else {
-            None
-        };
-
-        if let (Some(i), Some(d), Some(m)) = (inl_pass, dnl_pass, mono) {
-            obs::incr(obs::Counter::YieldScreened);
-            return [i, d, m];
-        }
-        // A metric grazed its limit's rounding band: resolve the trial
-        // with the exact fused walk so the decision stays bit-identical.
-        self.fallbacks += 1;
-        obs::incr(obs::Counter::YieldFallbacks);
-        let m = self.eval_batched();
-        m.flags(&self.limits)
-    }
-
     /// The scalar reference chain: allocate the error vector, build the
     /// full transfer function, then take three separate metric passes.
     fn eval_reference(&self) -> FusedMetrics {
@@ -654,7 +487,8 @@ impl<'a> YieldEngine<'a> {
     }
 
     /// Runs `trials` trials and pools all three yields (common random
-    /// numbers across metrics).
+    /// numbers across metrics). [`YieldMode::Lanes`] classifies in groups
+    /// of eight.
     ///
     /// # Errors
     ///
@@ -665,24 +499,24 @@ impl<'a> YieldEngine<'a> {
         trials: u64,
         rng: &mut R,
     ) -> Result<FusedYields, MetricError> {
-        let mut counts = [0u64; 3];
+        if mode == YieldMode::Lanes {
+            return self.run_lanes::<LANE_W, R>(trials, rng);
+        }
         if trials == 0 {
             return Err(MetricError::Stats(StatsError::NoTrials));
         }
+        let mut counts = [0u64; 3];
         for _ in 0..trials {
-            let flags = self.trial_flags(mode, rng);
-            for (count, &flag) in counts.iter_mut().zip(&flags) {
-                *count += u64::from(flag);
-            }
+            tally(&mut counts, self.trial_flags(YieldMode::Reference, rng));
         }
         FusedYields::from_counts(counts, trials)
     }
 
-    /// Runs `trials` batched trials whose draws come from a
+    /// Runs `trials` lane-classified trials whose draws come from a
     /// [`VarianceReduction`] scheme (antithetic pairing halves the draw
     /// cost and cuts estimator variance; stratified blocks cover the
     /// mismatch space evenly). `Plain` reproduces [`Self::run`] with
-    /// [`YieldMode::Batched`] bit for bit.
+    /// [`YieldMode::Lanes`] bit for bit.
     ///
     /// # Errors
     ///
@@ -697,14 +531,10 @@ impl<'a> YieldEngine<'a> {
             return Err(MetricError::Stats(StatsError::NoTrials));
         }
         let mut plan = NormalDrawPlan::new(self.scratch.zs.len(), scheme)?;
+        let mut ls = LaneScratch::<LANE_W>::for_dac(self.dac);
         let mut counts = [0u64; 3];
-        for _ in 0..trials {
-            plan.fill_next(rng, &mut self.scratch.zs);
-            let flags = self.classify_batched();
-            for (count, &flag) in counts.iter_mut().zip(&flags) {
-                *count += u64::from(flag);
-            }
-        }
+        let fill = |zs: &mut [f64]| plan.fill_next(rng, zs);
+        self.classify_stream(&mut ls, trials, fill, |f| tally(&mut counts, f));
         FusedYields::from_counts(counts, trials)
     }
 
@@ -729,22 +559,20 @@ impl<'a> YieldEngine<'a> {
         })?)
     }
 
-    /// Draws a lane group: `active` trials consumed from `rng` in trial
-    /// order (a fresh [`NormalSampler`] per trial, the exact stream the
-    /// scalar paths use) and transposed into the SoA scratch. Inactive
-    /// lanes (a remainder group shorter than `W`) replicate lane 0 so
-    /// the kernel computes on finite values; their results are never
-    /// read and they touch no counters.
-    fn draw_lane_group<const W: usize, R: Rng + ?Sized>(
+    /// Draws a lane group: `active` trials drawn by `fill` in trial order
+    /// and transposed into the SoA scratch. Inactive lanes (a remainder
+    /// group shorter than `W`) replicate lane 0 so the kernel computes on
+    /// finite values; their results are never read and they touch no
+    /// counters.
+    fn draw_lane_group<const W: usize>(
         &mut self,
-        rng: &mut R,
+        fill: &mut impl FnMut(&mut [f64]),
         active: usize,
         ls: &mut LaneScratch<W>,
     ) {
         debug_assert!((1..=W).contains(&active));
         for l in 0..active {
-            let mut sampler = NormalSampler::new();
-            sampler.fill(rng, &mut self.scratch.zs);
+            fill(&mut self.scratch.zs);
             for (row, &z) in ls.zs.iter_mut().zip(&self.scratch.zs) {
                 row[l] = z;
             }
@@ -758,13 +586,12 @@ impl<'a> YieldEngine<'a> {
 
     /// The lane classifier: one pass of the screened classifier over `W`
     /// trials at once, every intermediate a `[f64; W]` chunk updated
-    /// elementwise. Per lane, every float matches
-    /// [`Self::classify_batched`] bit for bit — the binary table is
-    /// built by recursive doubling (`bin[r | 2^i] = bin[r] + termᵢ` for
-    /// `r < 2^i`), which reproduces the scalar ascending-set-bit
-    /// accumulation's add order exactly while cutting the table build
-    /// from `b·2^b` branchy steps to `2^b` adds — so decisions, fallback
-    /// triggering and all work counters are lane-width-invariant.
+    /// elementwise, and no lane reading another's values — so decisions,
+    /// fallback triggering and all work counters are lane-width-invariant.
+    /// The binary table is built by recursive doubling
+    /// (`bin[r | 2^i] = bin[r] + termᵢ` for `r < 2^i`), which reproduces the
+    /// fused walk's ascending-set-bit accumulation order exactly while
+    /// cutting the table build from `b·2^b` branchy steps to `2^b` adds.
     fn classify_lane_group<const W: usize>(
         &mut self,
         ls: &mut LaneScratch<W>,
@@ -777,8 +604,8 @@ impl<'a> YieldEngine<'a> {
         let weights = dac.weights();
 
         // Per-cell binary terms, hoisted out of the residue loop (the
-        // scalar path recomputes `wᵢ·(1 + scaleᵢ·zᵢ)` per residue; the
-        // float is identical either way).
+        // fused walk recomputes `wᵢ·(1 + scaleᵢ·zᵢ)` per residue; the float
+        // is identical either way).
         for (i, term) in ls.terms.iter_mut().enumerate() {
             let w = weights[i] as f64;
             let sc = self.scale[i];
@@ -814,6 +641,11 @@ impl<'a> YieldEngine<'a> {
             ls.unary_cum[rank + 1] = acc;
         }
 
+        // Rounding slack: every screened quantity below differs from its
+        // exact fused-walk float by at most ~20 ulps of the full-scale
+        // magnitude (both sides read the *same* table floats; the error
+        // comes only from re-associating a handful of adds/multiplies).
+        // 64 ulps leaves a 3x safety factor.
         let n_codes = dac.max_code() + 1;
         let denom = (n_codes - 1) as f64;
         let mut first = [0.0; W];
@@ -831,7 +663,9 @@ impl<'a> YieldEngine<'a> {
             eps[l] = 64.0 * f64::EPSILON * mag;
         }
 
-        // INL screen: A extremes over the residues...
+        // INL screen: with code k = t·2^b + r, the endpoint-fit INL is (in
+        // real arithmetic) A_r + B_t, so max_k |INL| is reached at one of
+        // the A extremes over the residues...
         let mut a_min = [f64::INFINITY; W];
         let mut a_max = [f64::NEG_INFINITY; W];
         for (r, bl) in ls.bin_levels.iter().enumerate() {
@@ -842,9 +676,10 @@ impl<'a> YieldEngine<'a> {
                 a_max[l] = a_max[l].max(a);
             }
         }
-        // ...and B extremes over the blocks, folded through the same two
-        // reduction lanes as the scalar screen so the floats match
-        // bitwise per lane.
+        // ...and B extremes over the blocks. |A + b| is convex in b, so the
+        // worst code lies at a B extreme. Two reduction lanes keep the
+        // min/max latency chains off the critical path; the folds are
+        // exact, so their order never changes a value.
         let mut b_lo = [[f64::INFINITY; W]; 2];
         let mut b_hi = [[f64::NEG_INFINITY; W]; 2];
         let mut t = 0usize;
@@ -883,7 +718,8 @@ impl<'a> YieldEngine<'a> {
                 .max((a_min[l] + b_min).abs());
         }
 
-        // In-block DNL / monotonicity.
+        // In-block DNL / monotonicity: within a unary block every step is a
+        // binary delta, identical across blocks up to rounding.
         let mut block_dnl = [0.0f64; W];
         let mut block_min_diff = [f64::INFINITY; W];
         for r in 1..seg {
@@ -896,8 +732,9 @@ impl<'a> YieldEngine<'a> {
             }
         }
 
-        // Block-boundary codes, again through the scalar screen's two
-        // reduction lanes.
+        // Block-boundary codes (residue wraps 2^b−1 → 0): only n_unary of
+        // them, evaluated with the exact fused-walk expressions, again in
+        // two reduction lanes.
         let bl_first = ls.bin_levels[0];
         let bl_last = ls.bin_levels[seg - 1];
         let mut bd = [[0.0f64; W]; 2];
@@ -933,9 +770,9 @@ impl<'a> YieldEngine<'a> {
             }
         }
 
-        // Verdicts and counters per active lane, in lane order — the
-        // same per-trial accounting as the scalar classifier, so every
-        // work counter is independent of `W` and of how trials group.
+        // Verdicts and counters per active lane, in lane order — one
+        // trial's worth of accounting per lane, so every work counter is
+        // independent of `W` and of how trials group.
         let scan = (seg + n_unary + 1) as u64;
         let mut out = [[false; 3]; W];
         for l in 0..active {
@@ -985,11 +822,32 @@ impl<'a> YieldEngine<'a> {
         out
     }
 
-    /// Runs `trials` trials through the lane classifier in groups of
-    /// `W` (the final group masks its unused lanes) and pools all three
-    /// yields. Decisions — and therefore counts — are bit-identical to
-    /// [`Self::run`] in either [`YieldMode`] for the same RNG stream, at
-    /// any `W ≥ 1`.
+    /// Classifies `trials` trials in lane groups of `W` (the final group
+    /// masks its unused lanes), drawing each trial's standard-normal vector
+    /// with `fill` in trial order, and hands every trial's flags to `sink`
+    /// in trial order.
+    fn classify_stream<const W: usize>(
+        &mut self,
+        ls: &mut LaneScratch<W>,
+        trials: u64,
+        mut fill: impl FnMut(&mut [f64]),
+        mut sink: impl FnMut([bool; 3]),
+    ) {
+        let mut done = 0u64;
+        while done < trials {
+            let active = ((trials - done) as usize).min(W);
+            self.draw_lane_group(&mut fill, active, ls);
+            for &flags in &self.classify_lane_group(ls, active)[..active] {
+                sink(flags);
+            }
+            done += active as u64;
+        }
+    }
+
+    /// Certification entry: [`Self::run`] in [`YieldMode::Lanes`] at an
+    /// explicit lane width. Decisions — and therefore counts — are
+    /// bit-identical to [`Self::run`] in either [`YieldMode`] for the same
+    /// RNG stream, at any `W ≥ 1`.
     ///
     /// # Errors
     ///
@@ -1004,18 +862,7 @@ impl<'a> YieldEngine<'a> {
         }
         let mut ls = LaneScratch::<W>::for_dac(self.dac);
         let mut counts = [0u64; 3];
-        let mut done = 0u64;
-        while done < trials {
-            let active = ((trials - done) as usize).min(W);
-            self.draw_lane_group(rng, active, &mut ls);
-            let flags = self.classify_lane_group(&mut ls, active);
-            for lane_flags in flags.iter().take(active) {
-                for (count, &flag) in counts.iter_mut().zip(lane_flags) {
-                    *count += u64::from(flag);
-                }
-            }
-            done += active as u64;
-        }
+        self.classify_stream(&mut ls, trials, normal_fill(rng), |f| tally(&mut counts, f));
         FusedYields::from_counts(counts, trials)
     }
 
@@ -1030,15 +877,21 @@ impl<'a> YieldEngine<'a> {
     ) -> Vec<[bool; 3]> {
         let mut ls = LaneScratch::<W>::for_dac(self.dac);
         let mut out = Vec::with_capacity(trials as usize);
-        let mut done = 0u64;
-        while done < trials {
-            let active = ((trials - done) as usize).min(W);
-            self.draw_lane_group(rng, active, &mut ls);
-            let flags = self.classify_lane_group(&mut ls, active);
-            out.extend_from_slice(&flags[..active]);
-            done += active as u64;
-        }
+        self.classify_stream(&mut ls, trials, normal_fill(rng), |f| out.push(f));
         out
+    }
+}
+
+/// One trial's standard-normal draw: a fresh [`NormalSampler`] per trial,
+/// bit-identical to the stream [`CellErrors::random`] consumes.
+fn normal_fill<R: Rng + ?Sized>(rng: &mut R) -> impl FnMut(&mut [f64]) + '_ {
+    move |zs| NormalSampler::new().fill(rng, zs)
+}
+
+/// Adds one trial's pass flags into per-metric pass counts.
+fn tally(counts: &mut [u64], flags: [bool; 3]) {
+    for (count, flag) in counts.iter_mut().zip(flags) {
+        *count += u64::from(flag);
     }
 }
 
@@ -1080,16 +933,20 @@ pub fn fused_yields_crn<R: Rng + ?Sized>(
     }
     let scales: Vec<Vec<f64>> = sigmas.iter().map(|&s| draw_scale(dac, s)).collect();
     let mut engine = YieldEngine::build(dac, sigmas[0], limits);
+    let mut ls = LaneScratch::<LANE_W>::for_dac(dac);
+    let mut fill = normal_fill(rng);
     let mut counts = vec![[0u64; 3]; sigmas.len()];
-    for _ in 0..trials {
-        engine.draw(rng);
+    let mut done = 0u64;
+    while done < trials {
+        let active = ((trials - done) as usize).min(LANE_W);
+        engine.draw_lane_group(&mut fill, active, &mut ls);
         for (scale, point_counts) in scales.iter().zip(counts.iter_mut()) {
             engine.scale.clone_from(scale);
-            let flags = engine.classify_batched();
-            for (count, &flag) in point_counts.iter_mut().zip(&flags) {
-                *count += u64::from(flag);
+            for &flags in &engine.classify_lane_group(&mut ls, active)[..active] {
+                tally(point_counts, flags);
             }
         }
+        done += active as u64;
     }
     counts
         .into_iter()
@@ -1136,12 +993,14 @@ impl From<RuntimeError> for FusedYieldError {
     }
 }
 
-/// Runs the fused yield engine under the supervised pool: trials are
-/// chunked per [`McPlan`], every chunk builds its own engine and draws
-/// from its own `stream_rng(seed, chunk)` stream, and the pooled counts
-/// are bit-identical for any `--jobs` value, across kill + resume, and
-/// between [`YieldMode::Batched`] and [`YieldMode::Reference`] for the
-/// same seed.
+/// Runs the yield engine under the supervised pool: trials are chunked
+/// per [`McPlan`], every chunk builds its own engine and classifies its own
+/// `stream_rng(seed, chunk)` stream in trial order ([`YieldMode::Lanes`]:
+/// eight-wide groups, the chunk's remainder trials forming one masked
+/// partial group). The pooled counts are bit-identical for any `--jobs`
+/// value, across kill + resume, and between the two modes for the same
+/// plan — so the modes share one journal identity and can resume from each
+/// other's journals.
 ///
 /// # Errors
 ///
@@ -1166,57 +1025,7 @@ pub fn fused_yields_supervised(
         spec.binary_bits,
         dac.n_cells(),
     );
-    let out = yield_vector_supervised(
-        policy,
-        plan,
-        &params,
-        3,
-        || YieldEngine::build(dac, sigma_unit, limits),
-        |engine, rng, _trial, flags| {
-            flags.copy_from_slice(&engine.trial_flags(mode, rng));
-        },
-    )?;
-    // `yield_vector_supervised` returns exactly `metrics = 3` estimates.
-    Ok(out.map(|v| FusedYields {
-        inl: v[0],
-        dnl: v[1],
-        monotonicity: v[2],
-    }))
-}
-
-/// Runs the lane classifier under the supervised pool: every chunk
-/// builds its own engine plus lane scratch, consumes its
-/// `stream_rng(seed, chunk)` stream in trial order through `W`-wide
-/// groups (the chunk's remainder trials form one masked partial group),
-/// and the pooled counts are bit-identical to [`fused_yields_supervised`]
-/// for the same plan — for any `--jobs` value and any lane width,
-/// including resuming from each other's journals.
-///
-/// # Errors
-///
-/// [`FusedYieldError::Metric`] for invalid engine inputs,
-/// [`FusedYieldError::Runtime`] for pool/journal failures.
-pub fn fused_yields_supervised_lanes<const W: usize>(
-    dac: &SegmentedDac,
-    sigma_unit: f64,
-    limits: YieldLimits,
-    plan: &McPlan,
-    policy: &ExecPolicy,
-) -> Result<Supervised<FusedYields>, FusedYieldError> {
-    // Validate once up front so per-chunk engine builds are infallible.
-    YieldEngine::new(dac, sigma_unit, limits)?;
-    let spec = dac.spec();
-    // The same params digest as `fused_yields_supervised`: decisions are
-    // bit-identical, so the journals are interchangeable by design.
-    let params = format!(
-        "fused;sigma={sigma_unit};inl={};dnl={};bits={};bin={};cells={}",
-        limits.inl,
-        limits.dnl,
-        spec.n_bits,
-        spec.binary_bits,
-        dac.n_cells(),
-    );
-    let out = ctsdac_runtime::yield_vector_supervised_chunked(
+    let out = yield_vector_supervised_chunked(
         policy,
         plan,
         &params,
@@ -1224,24 +1033,21 @@ pub fn fused_yields_supervised_lanes<const W: usize>(
         || {
             (
                 YieldEngine::build(dac, sigma_unit, limits),
-                LaneScratch::<W>::for_dac(dac),
+                LaneScratch::<LANE_W>::for_dac(dac),
             )
         },
-        |(engine, ls), rng, _start, len, passes| {
-            let mut done = 0u64;
-            while done < len {
-                let active = ((len - done) as usize).min(W);
-                engine.draw_lane_group(rng, active, ls);
-                let flags = engine.classify_lane_group(ls, active);
-                for lane_flags in flags.iter().take(active) {
-                    for (count, &flag) in passes.iter_mut().zip(lane_flags) {
-                        *count += u64::from(flag);
-                    }
+        |(engine, ls), rng, _start, len, passes| match mode {
+            YieldMode::Lanes => {
+                engine.classify_stream(ls, len, normal_fill(rng), |f| tally(passes, f));
+            }
+            YieldMode::Reference => {
+                for _ in 0..len {
+                    tally(passes, engine.trial_flags(YieldMode::Reference, rng));
                 }
-                done += active as u64;
             }
         },
     )?;
+    // The driver returns exactly `metrics = 3` estimates.
     Ok(out.map(|v| FusedYields {
         inl: v[0],
         dnl: v[1],
@@ -1252,7 +1058,6 @@ pub fn fused_yields_supervised_lanes<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::static_metrics::{dnl_yield_mc, inl_yield_mc, monotonicity_yield_mc};
     use ctsdac_core::DacSpec;
     use ctsdac_stats::sample::seeded_rng;
     use ctsdac_stats::stream_rng;
@@ -1263,7 +1068,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_metrics_match_reference_bitwise() {
+    fn fused_walk_matches_reference_bitwise() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let mut engine =
@@ -1272,7 +1077,7 @@ mod tests {
         let mut rng_a = seeded_rng(77);
         let mut rng_b = seeded_rng(77);
         for _ in 0..50 {
-            let fast = engine.trial(YieldMode::Batched, &mut rng_a);
+            let fast = engine.trial(YieldMode::Lanes, &mut rng_a);
             let slow = engine.trial(YieldMode::Reference, &mut rng_b);
             assert_eq!(fast.inl_max.to_bits(), slow.inl_max.to_bits());
             assert_eq!(fast.dnl_max.to_bits(), slow.dnl_max.to_bits());
@@ -1281,7 +1086,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_metrics_match_reference_bitwise_with_custom_order() {
+    fn fused_walk_matches_reference_bitwise_with_custom_order() {
         let spec = small_spec();
         let n = spec.unary_source_count();
         let order: Vec<usize> = (0..n).rev().collect();
@@ -1292,7 +1097,7 @@ mod tests {
         let mut rng_a = seeded_rng(78);
         let mut rng_b = seeded_rng(78);
         for _ in 0..20 {
-            let fast = engine.trial(YieldMode::Batched, &mut rng_a);
+            let fast = engine.trial(YieldMode::Lanes, &mut rng_a);
             let slow = engine.trial(YieldMode::Reference, &mut rng_b);
             assert_eq!(fast.inl_max.to_bits(), slow.inl_max.to_bits());
             assert_eq!(fast.dnl_max.to_bits(), slow.dnl_max.to_bits());
@@ -1310,7 +1115,7 @@ mod tests {
         let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng_a = seeded_rng(5);
         let mut rng_b = seeded_rng(5);
-        engine.draw(&mut rng_a);
+        normal_fill(&mut rng_a)(&mut engine.scratch.zs);
         let expect = CellErrors::random(&dac, sigma, &mut rng_b);
         let got: Vec<f64> = engine
             .scale
@@ -1322,34 +1127,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_run_matches_the_legacy_inl_loop_for_the_same_stream() {
-        // With CRN, the fused INL yield over a stream equals the legacy
-        // single-metric loop over the same stream: both consume one draw
-        // per trial and apply the same pass predicate.
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let sigma = spec.sigma_unit_spec() * 2.0;
-        let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng_a = seeded_rng(99);
-        let fused = engine
-            .run(YieldMode::Batched, 300, &mut rng_a)
-            .expect("fused");
-        let mut rng_b = seeded_rng(99);
-        let legacy = inl_yield_mc(&dac, sigma, 0.5, 300, &mut rng_b).expect("legacy");
-        assert_eq!(fused.inl, legacy);
-
-        // And the other two metrics agree with their own legacy loops on
-        // fresh identical streams.
-        let mut rng_c = seeded_rng(99);
-        let legacy_dnl = dnl_yield_mc(&dac, sigma, 0.5, 300, &mut rng_c).expect("legacy dnl");
-        assert_eq!(fused.dnl, legacy_dnl);
-        let mut rng_d = seeded_rng(99);
-        let legacy_mono = monotonicity_yield_mc(&dac, sigma, 300, &mut rng_d).expect("mono");
-        assert_eq!(fused.monotonicity, legacy_mono);
-    }
-
-    #[test]
-    fn plain_reduced_run_reproduces_batched_run() {
+    fn plain_reduced_run_reproduces_lanes_run() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
@@ -1359,10 +1137,10 @@ mod tests {
             .run_reduced(VarianceReduction::Plain, 200, &mut rng_a)
             .expect("plain");
         let mut rng_b = seeded_rng(13);
-        let batched = engine
-            .run(YieldMode::Batched, 200, &mut rng_b)
-            .expect("batched");
-        assert_eq!(plain, batched);
+        let lanes = engine
+            .run(YieldMode::Lanes, 200, &mut rng_b)
+            .expect("lanes");
+        assert_eq!(plain, lanes);
     }
 
     #[test]
@@ -1397,7 +1175,7 @@ mod tests {
         let test = YieldTest::new(0.90, 2.576, 20_000, 50).expect("test");
         let mut rng = seeded_rng(3);
         let out = engine
-            .run_sequential(YieldMode::Batched, YieldMetric::Inl, &test, &mut rng)
+            .run_sequential(YieldMode::Lanes, YieldMetric::Inl, &test, &mut rng)
             .expect("sequential");
         assert_eq!(out.decision, ctsdac_stats::YieldDecision::Pass);
         assert!(out.estimate.trials() < 20_000, "stopped early");
@@ -1435,7 +1213,7 @@ mod tests {
         let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng_b = seeded_rng(55);
         let single = engine
-            .run(YieldMode::Batched, 250, &mut rng_b)
+            .run(YieldMode::Lanes, 250, &mut rng_b)
             .expect("single");
         assert_eq!(sweep[0], single);
     }
@@ -1449,12 +1227,12 @@ mod tests {
         // At this sigma no metric grazes its limit, so every trial stays
         // on the screened block scan.
         let scan = (1u64 << spec.binary_bits) + dac.n_unary() as u64 + 1;
-        engine.run(YieldMode::Batched, 10, &mut rng).expect("run");
+        engine.run(YieldMode::Lanes, 10, &mut rng).expect("run");
         assert_eq!(engine.trials_run(), 10);
         assert_eq!(engine.fallbacks(), 0);
         assert_eq!(engine.codes_scanned(), 10 * scan);
         // An explicit exact-metrics trial walks the whole curve.
-        engine.trial(YieldMode::Batched, &mut rng);
+        engine.trial(YieldMode::Lanes, &mut rng);
         assert_eq!(engine.codes_scanned(), 10 * scan + (dac.max_code() + 1));
     }
 
@@ -1472,7 +1250,7 @@ mod tests {
             let mut rng_a = seeded_rng(91);
             let mut rng_b = seeded_rng(91);
             for _ in 0..200 {
-                let screened = engine.trial_flags(YieldMode::Batched, &mut rng_a);
+                let screened = engine.trial_flags(YieldMode::Lanes, &mut rng_a);
                 let exact = engine.trial(YieldMode::Reference, &mut rng_b);
                 assert_eq!(screened, exact.flags(&limits), "sigma mult {mult}");
             }
@@ -1486,14 +1264,14 @@ mod tests {
         let sigma = spec.sigma_unit_spec() * 2.0;
         let mut probe = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(7);
-        let exact = probe.trial(YieldMode::Batched, &mut rng);
+        let exact = probe.trial(YieldMode::Lanes, &mut rng);
         // A limit equal to the trial's exact INL lies inside the screen's
         // rounding band by construction, forcing the exact fallback; the
         // decision is still the exact strict `<` (a tie fails).
         let limits = YieldLimits::new(exact.inl_max, 0.5).expect("limits");
         let mut engine = YieldEngine::new(&dac, sigma, limits).expect("engine");
         let mut rng = seeded_rng(7);
-        let flags = engine.trial_flags(YieldMode::Batched, &mut rng);
+        let flags = engine.trial_flags(YieldMode::Lanes, &mut rng);
         assert_eq!(engine.fallbacks(), 1);
         assert!(!flags[0], "inl_max < inl_max must fail");
     }
@@ -1508,7 +1286,7 @@ mod tests {
             &dac,
             sigma,
             YieldLimits::half_lsb(),
-            YieldMode::Batched,
+            YieldMode::Lanes,
             &plan,
             &ExecPolicy::sequential(),
         )
@@ -1518,7 +1296,7 @@ mod tests {
                 &dac,
                 sigma,
                 YieldLimits::half_lsb(),
-                YieldMode::Batched,
+                YieldMode::Lanes,
                 &plan,
                 &ExecPolicy::with_jobs(jobs),
             )
@@ -1549,7 +1327,7 @@ mod tests {
             &dac,
             sigma,
             YieldLimits::half_lsb(),
-            YieldMode::Batched,
+            YieldMode::Lanes,
             &plan,
             &ExecPolicy::sequential(),
         )
@@ -1560,7 +1338,7 @@ mod tests {
                 YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
             let mut rng = stream_rng(plan.seed, chunk);
             for _ in 0..plan.chunk_len(chunk) {
-                let m = engine.trial(YieldMode::Batched, &mut rng);
+                let m = engine.trial(YieldMode::Lanes, &mut rng);
                 passes += u64::from(m.flags(&YieldLimits::half_lsb())[0]);
             }
         }
@@ -1569,38 +1347,41 @@ mod tests {
     }
 
     #[test]
-    fn lane_run_matches_batched_run_at_every_width() {
+    fn lane_run_matches_reference_run_at_every_width() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
-        let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
+        let mut reference = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(31);
-        let batched = engine
-            .run(YieldMode::Batched, 257, &mut rng)
-            .expect("batched");
-        let batched_counters = (engine.trials_run(), engine.codes_scanned(), engine.fallbacks());
+        let oracle = reference
+            .run(YieldMode::Reference, 257, &mut rng)
+            .expect("reference");
 
-        let mut lanes4 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng = seeded_rng(31);
-        let out4 = lanes4.run_lanes::<4, _>(257, &mut rng).expect("lanes4");
-        assert_eq!(out4, batched);
-
-        let mut lanes8 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
-        let mut rng = seeded_rng(31);
-        let out8 = lanes8.run_lanes::<8, _>(257, &mut rng).expect("lanes8");
-        assert_eq!(out8, batched);
-
-        // Work counters are lane-width-invariant: identical trial,
-        // code-scan and fallback totals at W = 1, 4, 8 and scalar.
         let mut lanes1 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(31);
-        lanes1.run_lanes::<1, _>(257, &mut rng).expect("lanes1");
-        for e in [&lanes1, &lanes4, &lanes8] {
-            assert_eq!(
-                (e.trials_run(), e.codes_scanned(), e.fallbacks()),
-                batched_counters
-            );
-        }
+        assert_eq!(
+            lanes1.run_lanes::<1, _>(257, &mut rng).expect("lanes1"),
+            oracle
+        );
+        let mut lanes4 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
+        let mut rng = seeded_rng(31);
+        assert_eq!(
+            lanes4.run_lanes::<4, _>(257, &mut rng).expect("lanes4"),
+            oracle
+        );
+        let mut lanes8 = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
+        let mut rng = seeded_rng(31);
+        assert_eq!(
+            lanes8.run(YieldMode::Lanes, 257, &mut rng).expect("lanes8"),
+            oracle
+        );
+
+        // Work counters are lane-width-invariant: identical trial,
+        // code-scan and fallback totals at W = 1, 4 and 8.
+        let counters = |e: &YieldEngine<'_>| (e.trials_run(), e.codes_scanned(), e.fallbacks());
+        assert_eq!(counters(&lanes4), counters(&lanes1));
+        assert_eq!(counters(&lanes8), counters(&lanes1));
+        assert_eq!(lanes1.trials_run(), 257);
     }
 
     #[test]
@@ -1624,17 +1405,16 @@ mod tests {
     }
 
     #[test]
-    fn lane_fallbacks_trigger_exactly_like_the_scalar_classifier() {
+    fn lane_fallbacks_are_lane_width_invariant() {
         let spec = small_spec();
         let dac = SegmentedDac::new(&spec);
         let sigma = spec.sigma_unit_spec() * 2.0;
         let mut probe = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(7);
-        let exact = probe.trial(YieldMode::Batched, &mut rng);
+        let exact = probe.trial(YieldMode::Lanes, &mut rng);
         // A limit equal to a trial's exact INL sits inside the screen's
-        // rounding band; the lane kernel must take the same per-lane
-        // exact fallback the scalar classifier takes, and only for that
-        // lane.
+        // rounding band; a four-lane group must take the same per-lane
+        // exact fallback a single lane takes, and only for that lane.
         let limits = YieldLimits::new(exact.inl_max, 0.5).expect("limits");
         let mut lanes = YieldEngine::new(&dac, sigma, limits).expect("engine");
         let mut rng = seeded_rng(7);
@@ -1646,49 +1426,12 @@ mod tests {
         for (trial, lane_flags) in flags.iter().enumerate() {
             assert_eq!(
                 *lane_flags,
-                scalar.trial_flags(YieldMode::Batched, &mut rng),
+                scalar.trial_flags(YieldMode::Lanes, &mut rng),
                 "trial {trial}"
             );
         }
         assert_eq!(scalar.fallbacks(), 1);
         assert_eq!(scalar.codes_scanned(), lanes.codes_scanned());
-    }
-
-    #[test]
-    fn supervised_lane_yields_match_the_per_trial_driver() {
-        let spec = small_spec();
-        let dac = SegmentedDac::new(&spec);
-        let sigma = spec.sigma_unit_spec() * 2.0;
-        let plan = McPlan::new(7, 1_000, 137).expect("plan");
-        let baseline = fused_yields_supervised(
-            &dac,
-            sigma,
-            YieldLimits::half_lsb(),
-            YieldMode::Batched,
-            &plan,
-            &ExecPolicy::sequential(),
-        )
-        .expect("baseline");
-        let lanes4 = fused_yields_supervised_lanes::<4>(
-            &dac,
-            sigma,
-            YieldLimits::half_lsb(),
-            &plan,
-            &ExecPolicy::sequential(),
-        )
-        .expect("lanes4");
-        assert_eq!(lanes4.value, baseline.value);
-        for jobs in [2, 8] {
-            let lanes8 = fused_yields_supervised_lanes::<8>(
-                &dac,
-                sigma,
-                YieldLimits::half_lsb(),
-                &plan,
-                &ExecPolicy::with_jobs(jobs),
-            )
-            .expect("lanes8");
-            assert_eq!(lanes8.value, baseline.value, "jobs = {jobs}");
-        }
     }
 
     #[test]
@@ -1708,7 +1451,7 @@ mod tests {
         );
         let mut engine = YieldEngine::new(&dac, 0.01, YieldLimits::half_lsb()).expect("engine");
         let mut rng = seeded_rng(1);
-        assert!(engine.run(YieldMode::Batched, 0, &mut rng).is_err());
+        assert!(engine.run(YieldMode::Lanes, 0, &mut rng).is_err());
         assert!(fused_yields_crn(&dac, &[], YieldLimits::half_lsb(), 10, &mut rng).is_err());
         assert!(
             fused_yields_crn(&dac, &[f64::NAN], YieldLimits::half_lsb(), 10, &mut rng).is_err()

@@ -74,7 +74,7 @@ fn decode_weight_invariant() {
 /// spec, seed and error scale: both accumulate binary cells in index
 /// order and unary cells in switching-rank order, so the segmented
 /// shortcut is a re-use of partial sums, not a reassociation. The
-/// batched yield engine's bit-identity guarantee rests on this.
+/// yield engine's bit-identity guarantee rests on this.
 #[test]
 fn fast_transfer_always_matches_bitwise() {
     let mut rng = seeded_rng(0xDAC0_0003);
@@ -384,7 +384,7 @@ fn limit_grazing_trials_fall_back_identically_at_random_grazing_points() {
         let mut scalar = YieldEngine::new(&dac, sigma, limits).expect("engine");
         let mut rng_s = seeded_rng(seed);
         let screened: Vec<[bool; 3]> = (0..trials)
-            .map(|_| scalar.trial_flags(YieldMode::Batched, &mut rng_s))
+            .map(|_| scalar.trial_flags(YieldMode::Lanes, &mut rng_s))
             .collect();
         // The INL screen is re-associated arithmetic, so its band always
         // covers the exact value and a grazing limit must trip the

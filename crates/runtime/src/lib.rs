@@ -62,10 +62,7 @@ pub use cancel::CancelToken;
 pub use exec::{run_journaled, ExecPolicy, Supervised};
 pub use fault::{truncate_tail, FaultPlan};
 pub use journal::{decode_f64, encode_f64, Journal, JournalError, JournalMeta, LoadReport};
-pub use mc::{
-    summary_supervised, yield_supervised, yield_vector_supervised,
-    yield_vector_supervised_chunked, McPlan,
-};
+pub use mc::{summary_supervised, yield_supervised, yield_vector_supervised_chunked, McPlan};
 pub use retry::RetryPolicy;
 pub use pool::{
     run_chunks, ChunkCtx, PoolConfig, Progress, ProgressGauge, RunReport, RuntimeError, TaskFault,

@@ -25,7 +25,7 @@
 //!   percentiles and histograms.
 //! * [`lhs`] — Latin hypercube sampling for variance-reduced sweeps.
 //! * [`variance`] — variance-reduced normal draw plans (antithetic
-//!   pairing, stratified LHS blocks) for the batched yield engine, and
+//!   pairing, stratified LHS blocks) for the yield engine, and
 //!   the [`mc::YieldTest`] sequential stopping rule lives next door in
 //!   [`mc`].
 //!

@@ -1,7 +1,7 @@
 //! Variance-reduced standard-normal draw plans for Monte-Carlo yield
 //! estimation.
 //!
-//! The batched yield engine consumes one mismatch vector per trial; this
+//! The yield engine consumes one mismatch vector per trial; this
 //! module controls *how* those vectors are drawn:
 //!
 //! * [`VarianceReduction::Plain`] — independent draws, the reference

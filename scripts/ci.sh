@@ -6,7 +6,7 @@
 # 2. Property suites: the proptest-backed suites are feature-gated so the
 #    default build stays dependency-free; CI opts in explicitly. A
 #    dedicated lane-differential stage then re-runs the lane-equivalence
-#    suite on its own line: the SoA kernels must match their scalar
+#    suite on its own line: the production SoA kernels must match their
 #    oracles bitwise at W = 4 and 8, every remainder lane count, and
 #    --jobs 1 vs 8.
 # 3. Panic-freedom gate: the solver/exploration/statistics/runtime/DAC/
@@ -21,14 +21,14 @@
 #    journal while reproducing the clean single-threaded results
 #    bit-for-bit (crates/bench/src/bin/fault_smoke.rs).
 # 5. Bench smoke: sweep_bench on a reduced grid must emit a
-#    schema-complete BENCH_sweep.json (reference, warm and lanes arms)
+#    schema-complete BENCH_sweep.json (reference, lanes and adaptive arms)
 #    and stay within the Newton iteration budget recorded in the
 #    checked-in baseline — a solver-effort regression fails here before
 #    it shows up as wall-clock noise. The checked-in baseline must also
 #    keep the lane kernel's recorded speedup over the reference kernel
 #    at or above its validated floor.
 # 6. MC bench smoke: mc_bench with reduced trials must emit a
-#    schema-complete BENCH_mc.json, prove batched-vs-reference and
+#    schema-complete BENCH_mc.json (reference and lanes arms), prove
 #    lanes-vs-reference bit-identity, and stay within the per-trial work
 #    budget recorded in the checked-in baseline — a yield-engine
 #    regression that re-walks the full transfer curve per trial fails
@@ -52,6 +52,8 @@
 #    restarted on the same directory. The restarted daemon must serve
 #    the surviving entries as cache hits bit-identical to the pre-crash
 #    responses and report the torn tail in store.records_discarded.
+# 11. Code size: print the .rs line count under crates/ src/ tests/
+#    examples/, tracked like a bench number. Print-only; never fails.
 #
 # Run from the repository root: sh scripts/ci.sh
 
@@ -70,13 +72,14 @@ cargo test --offline -q --features proptests \
     -p ctsdac-circuit -p ctsdac-dac -p ctsdac-dsp \
     -p ctsdac-layout -p ctsdac-process -p ctsdac-stats
 
-echo "==> lane-differential gate (SoA kernels vs scalar oracles, W=4 and W=8)"
+echo "==> lane-differential gate (production SoA kernels vs oracles, W=4 and W=8)"
 # The lane-equivalence suite certifies the SIMD-width SoA kernels: MC
-# yield lanes and sweep lanes must reproduce their scalar oracles bit
-# for bit at lane widths 4 and 8, at every remainder lane count
-# n % W in 0..W, at --jobs 1 vs 8, with jobs- and width-invariant work
-# counters. It runs inside the workspace tests too; this explicit stage
-# keeps the certification visible and failing on its own line.
+# yield lanes and sweep lanes must reproduce their oracles bit for bit at
+# lane widths 4 and 8, at every remainder lane count n % W in 0..W, at
+# --jobs 1 vs 8, under injected faults and across journal resume, with
+# jobs- and width-invariant work counters. It runs inside the workspace
+# tests too; this explicit stage keeps the certification visible and
+# failing on its own line.
 cargo test --offline -q --test lane_equivalence
 
 echo "==> quarantine gate (no #[ignore]d tests)"
@@ -130,10 +133,10 @@ fi
 smoke_json="${TMPDIR:-/tmp}/ctsdac_bench_smoke.json"
 cargo run --offline -q -p ctsdac-bench --bin sweep_bench -- \
     --grid 8 --reps 2 --out "$smoke_json" --budget "$budget"
-for key in '"schema": "ctsdac-sweep-bench-v1"' '"reference"' '"warm"' \
-           '"lanes"' '"adaptive"' '"speedup_warm_over_reference"' \
+for key in '"schema": "ctsdac-sweep-bench-v1"' '"reference"' \
+           '"lanes"' '"adaptive"' \
            '"speedup_lanes_over_reference"' \
-           '"iteration_budget_per_solve"' '"warm_hits"'; do
+           '"iteration_budget_per_solve"'; do
     if ! grep -q "$key" "$smoke_json"; then
         echo "FAIL: $smoke_json is missing $key"
         exit 1
@@ -171,10 +174,9 @@ mc_smoke_json="${TMPDIR:-/tmp}/ctsdac_mc_smoke.json"
 cargo run --offline -q -p ctsdac-bench --bin mc_bench -- \
     --trials 200 --reps 1 --out "$mc_smoke_json" --budget "$mc_budget"
 for key in '"schema": "ctsdac-mc-bench-v1"' \
-           '"bit_identical_batched_vs_reference": true' \
-           '"bit_identical_lanes_vs_reference": true' '"legacy"' \
-           '"reference"' '"batched"' '"lanes"' '"codes_per_trial"' \
-           '"per_trial_work_budget"' '"speedup_batched_over_reference"' \
+           '"bit_identical_lanes_vs_reference": true' \
+           '"reference"' '"lanes"' '"codes_per_trial"' \
+           '"per_trial_work_budget"' \
            '"speedup_lanes_over_reference"'; do
     if ! grep -q "$key" "$mc_smoke_json"; then
         echo "FAIL: $mc_smoke_json is missing $key"
@@ -409,5 +411,10 @@ rm -rf "$store_dir"
 rm -f "$sv.pre8" "$sv.pre9" "$sv.pre10" "$sv.post8" "$sv.post9" "$sv.post10" \
       "$sv.pre8.n" "$sv.pre9.n" "$sv.post8.n" "$sv.post9.n" \
       "$sv.metrics" "$sv.bye" "$store_log"
+
+echo "==> code size (.rs lines under crates/ src/ tests/ examples/)"
+# Tracked like a bench number: a change that deletes code while keeping
+# every gate green shows up here. Print-only.
+find crates src tests examples -name '*.rs' -exec cat {} + | wc -l | tr -d ' '
 
 echo "CI gate passed"

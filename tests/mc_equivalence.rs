@@ -1,10 +1,12 @@
-//! Acceptance tests for the batched Monte-Carlo yield engine, end to end
-//! through the umbrella crate: the batched (screened) path and the
-//! scalar reference chain must produce **bit-identical** yield estimates
-//! for the same seed, sequentially and under the supervised pool at
-//! `--jobs 1` vs `--jobs 8`.
+//! Acceptance tests for the Monte-Carlo yield engine, end to end through
+//! the umbrella crate: the screened production classifier
+//! ([`YieldMode::Lanes`], which replaced the scalar `Batched` screen) and
+//! the scalar reference chain must produce **bit-identical** yield
+//! estimates for the same seed, sequentially and under the supervised
+//! pool at `--jobs 1` vs `--jobs 8`.
 
-use ctsdac::core::DacSpec;
+mod equivalence;
+
 use ctsdac::dac::architecture::SegmentedDac;
 use ctsdac::dac::yield_engine::{
     fused_yields_supervised, FusedYields, YieldEngine, YieldLimits, YieldMode,
@@ -12,13 +14,10 @@ use ctsdac::dac::yield_engine::{
 use ctsdac::runtime::{ExecPolicy, McPlan};
 use ctsdac::stats::sample::seeded_rng;
 
-fn small_spec() -> DacSpec {
-    let base = DacSpec::paper_12bit();
-    DacSpec::new(8, 4, 0.997, base.env, base.tech)
-}
+use equivalence::small_spec;
 
-/// Sequential runs: batched vs reference on the same seeded stream give
-/// the same `FusedYields` value, exactly.
+/// Sequential runs: the screened classifier vs the reference chain on the
+/// same seeded stream give the same `FusedYields` value, exactly.
 #[test]
 fn batched_and_reference_yields_are_bit_identical_for_the_same_seed() {
     let spec = small_spec();
@@ -29,24 +28,24 @@ fn batched_and_reference_yields_are_bit_identical_for_the_same_seed() {
     let mut engine = YieldEngine::new(&dac, sigma, YieldLimits::half_lsb()).expect("engine");
     for seed in [1u64, 2003, 0xDACD_ACDA] {
         let mut rng = seeded_rng(seed);
-        let batched = engine
-            .run(YieldMode::Batched, 1_500, &mut rng)
-            .expect("batched run");
+        let screened = engine
+            .run(YieldMode::Lanes, 1_500, &mut rng)
+            .expect("lanes run");
         let mut rng = seeded_rng(seed);
         let reference = engine
             .run(YieldMode::Reference, 1_500, &mut rng)
             .expect("reference run");
-        assert_eq!(batched, reference, "seed {seed}");
+        assert_eq!(screened, reference, "seed {seed}");
         assert!(
-            batched.inl.estimate() < 1.0,
+            screened.inl.estimate() < 1.0,
             "seed {seed}: expected some INL failures at 2x spec sigma"
         );
     }
 }
 
-/// The acceptance criterion: supervised batched runs are invariant in
-/// `--jobs` (1 vs 8) and agree bit for bit with the reference mode at
-/// the same seed.
+/// The acceptance criterion: supervised runs are invariant in `--jobs`
+/// (1 vs 8) in both modes and agree bit for bit across the modes at the
+/// same seed.
 #[test]
 fn supervised_yields_match_across_jobs_1_and_8_and_both_modes() {
     let spec = small_spec();
@@ -61,15 +60,15 @@ fn supervised_yields_match_across_jobs_1_and_8_and_both_modes() {
             .value
     };
 
-    let batched_1 = run(YieldMode::Batched, &ExecPolicy::with_jobs(1));
-    let batched_8 = run(YieldMode::Batched, &ExecPolicy::with_jobs(8));
-    assert_eq!(batched_1, batched_8, "batched: jobs 1 vs 8");
+    let lanes_1 = run(YieldMode::Lanes, &ExecPolicy::with_jobs(1));
+    let lanes_8 = run(YieldMode::Lanes, &ExecPolicy::with_jobs(8));
+    assert_eq!(lanes_1, lanes_8, "lanes: jobs 1 vs 8");
 
     let reference_1 = run(YieldMode::Reference, &ExecPolicy::with_jobs(1));
     let reference_8 = run(YieldMode::Reference, &ExecPolicy::with_jobs(8));
     assert_eq!(reference_1, reference_8, "reference: jobs 1 vs 8");
 
-    assert_eq!(batched_1, reference_1, "batched vs reference");
-    assert_eq!(batched_1.inl.trials(), 4_000);
-    assert!(batched_1.inl.estimate() < 1.0, "non-trivial failure rate");
+    assert_eq!(lanes_1, reference_1, "lanes vs reference");
+    assert_eq!(lanes_1.inl.trials(), 4_000);
+    assert!(lanes_1.inl.estimate() < 1.0, "non-trivial failure rate");
 }

@@ -1,146 +1,31 @@
-//! Acceptance tests for the sweep-kernel overhaul: the warm-started dense
-//! sweep must be bit-identical to the cold-started one — sequentially, on
-//! the supervised pool at any job count, and with injected faults in
-//! flight — and the coarse-to-fine adaptive sweep must land on the same
-//! optimum as the dense grid to within one grid cell.
+//! Acceptance test for the production sweep kernel: the default dense
+//! sweep ([`SweepMode::Lanes`], which replaced the row-chained warm-start
+//! sweep) must be bit-identical to the cold per-point oracle, sequentially
+//! and on the supervised pool at any job count.
+//!
+//! [`SweepMode::Lanes`]: ctsdac::core::explore::SweepMode::Lanes
 
-use ctsdac::core::explore::{DesignPoint, DesignSpace, Objective, SweepMode};
-use ctsdac::core::saturation::SaturationCondition;
-use ctsdac::core::DacSpec;
-use ctsdac::runtime::{ExecPolicy, FaultPlan};
-use std::sync::Arc;
-use std::time::Duration;
+mod equivalence;
+
+use ctsdac::runtime::ExecPolicy;
+
+use equivalence::{assert_bitwise_eq, per_point_oracle, space};
 
 const GRID: usize = 16;
 
-fn space(mode: SweepMode) -> DesignSpace {
-    let spec = DacSpec::paper_12bit();
-    DesignSpace::new(&spec, SaturationCondition::Statistical)
-        .with_grid(GRID)
-        .with_mode(mode)
-}
-
-/// Asserts two sweeps agree in every bit of every field.
-fn assert_bitwise_eq(a: &[DesignPoint], b: &[DesignPoint], label: &str) {
-    assert_eq!(a.len(), b.len(), "{label}: point counts differ");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(x.vov_cs.to_bits(), y.vov_cs.to_bits(), "{label}: vov_cs at {i}");
-        assert_eq!(x.vov_sw.to_bits(), y.vov_sw.to_bits(), "{label}: vov_sw at {i}");
-        assert_eq!(x.feasible, y.feasible, "{label}: feasible at {i}");
-        assert_eq!(x.reason, y.reason, "{label}: reason at {i}");
-        assert_eq!(
-            x.total_area.to_bits(),
-            y.total_area.to_bits(),
-            "{label}: total_area at {i}"
-        );
-        assert_eq!(
-            x.min_pole_hz.to_bits(),
-            y.min_pole_hz.to_bits(),
-            "{label}: min_pole_hz at {i}"
-        );
-        assert_eq!(
-            x.settling_s.to_bits(),
-            y.settling_s.to_bits(),
-            "{label}: settling_s at {i}"
-        );
-        assert_eq!(x.rout.to_bits(), y.rout.to_bits(), "{label}: rout at {i}");
-        assert_eq!(
-            x.dc_i_out.to_bits(),
-            y.dc_i_out.to_bits(),
-            "{label}: dc_i_out at {i}"
-        );
-        assert_eq!(x.dc_saturated, y.dc_saturated, "{label}: dc_saturated at {i}");
-    }
-}
-
-/// Warm starts are a pure accelerant: the warm sweep reproduces the cold
-/// sweep bit for bit, sequentially and on the pool at 1 and 8 jobs.
+/// The production sweep is a pure accelerant: it reproduces the cold
+/// per-point sweep bit for bit, sequentially and on the pool at 1 and 8
+/// jobs.
 #[test]
 fn warm_sweep_is_bit_identical_to_cold_across_job_counts() {
-    let cold = space(SweepMode::Cold).sweep();
-    let warm = space(SweepMode::Warm);
+    let production = space(GRID);
+    let cold = per_point_oracle(&production);
 
-    assert_bitwise_eq(&warm.sweep(), &cold, "sequential warm vs cold");
+    assert_bitwise_eq(&production.sweep(), &cold, "sequential lanes vs cold");
     for jobs in [1usize, 8] {
-        let sup = warm
+        let sup = production
             .sweep_supervised(&ExecPolicy::with_jobs(jobs))
-            .expect("supervised warm sweep");
-        assert_bitwise_eq(&sup.value, &cold, &format!("warm jobs={jobs} vs cold"));
+            .expect("supervised lanes sweep");
+        assert_bitwise_eq(&sup.value, &cold, &format!("lanes jobs={jobs} vs cold"));
     }
-}
-
-/// Fault injection (worker panics, a stalled chunk past its deadline)
-/// triggers retries — and retried rows restart from a cold seed, so the
-/// warm-start chain must not leak state across the retry boundary.
-#[test]
-fn warm_sweep_survives_injected_faults_bit_identically() {
-    let cold = space(SweepMode::Cold).sweep();
-    let warm = space(SweepMode::Warm);
-
-    let plan = Arc::new(FaultPlan::new().panic_at(1).panic_at(6).delay_ms_at(4, 150));
-    let mut policy = ExecPolicy::with_jobs(8);
-    policy.pool.deadline = Some(Duration::from_millis(50));
-    policy.pool.faults = Some(plan.clone());
-
-    let faulty = warm.sweep_supervised(&policy).expect("faulty warm sweep");
-    assert!(plan.fired() >= 3, "only {} faults fired", plan.fired());
-    assert!(
-        faulty.faults.len() >= 3,
-        "faults not surfaced: {:?}",
-        faulty.faults
-    );
-    assert_eq!(
-        faulty.computed, GRID as u64,
-        "every row computed exactly once"
-    );
-    assert_bitwise_eq(&faulty.value, &cold, "faulty warm vs cold");
-}
-
-/// The adaptive sweep refines every feasibility boundary and the objective
-/// optimum down to the dense lattice, so its optimum sits within one grid
-/// cell of the dense sweep's — for both objectives.
-#[test]
-fn adaptive_optimum_is_within_one_cell_of_dense() {
-    let warm = space(SweepMode::Warm);
-    let step = {
-        let axis = warm.axis();
-        axis[1] - axis[0]
-    };
-    for objective in [Objective::MinArea, Objective::MaxSpeed] {
-        let dense = warm.optimize(objective).expect("dense optimum");
-        let adaptive = warm
-            .optimize_adaptive(objective, f64::INFINITY)
-            .expect("adaptive optimum");
-        assert!(adaptive.feasible, "{objective:?}: adaptive optimum infeasible");
-        assert!(
-            (adaptive.vov_cs - dense.vov_cs).abs() <= step * (1.0 + 1e-12),
-            "{objective:?}: vov_cs {} vs dense {} exceeds one cell ({step})",
-            adaptive.vov_cs,
-            dense.vov_cs
-        );
-        assert!(
-            (adaptive.vov_sw - dense.vov_sw).abs() <= step * (1.0 + 1e-12),
-            "{objective:?}: vov_sw {} vs dense {} exceeds one cell ({step})",
-            adaptive.vov_sw,
-            dense.vov_sw
-        );
-    }
-}
-
-/// The adaptive sweep visits strictly fewer points than the dense lattice
-/// it refines into — the speedup exists at all — while reporting the dense
-/// point count it stands in for.
-#[test]
-fn adaptive_sweep_evaluates_a_strict_subset() {
-    let warm = space(SweepMode::Warm);
-    let sweep = warm.sweep_adaptive(Objective::MinArea);
-    assert_eq!(sweep.dense_equivalent, GRID * GRID);
-    assert!(
-        sweep.evaluated < sweep.dense_equivalent,
-        "adaptive evaluated {} of {} — no savings",
-        sweep.evaluated,
-        sweep.dense_equivalent
-    );
-    assert!(sweep.levels >= 2, "no refinement happened");
-    assert_eq!(sweep.points.len(), sweep.evaluated);
 }
