@@ -20,8 +20,10 @@ pub struct SegmentedDac {
     spec: DacSpec,
     weights: Vec<u64>,
     /// `unary_order[rank]` = cell index (within the unary block) that turns
-    /// on `rank`-th.
-    unary_order: Vec<usize>,
+    /// on `rank`-th; `None` is the natural order, `rank` itself. An
+    /// identity order is always stored as `None`, so the derived
+    /// `PartialEq` compares orders, not representations.
+    unary_order: Option<Vec<usize>>,
 }
 
 impl SegmentedDac {
@@ -29,16 +31,14 @@ impl SegmentedDac {
     /// unary switching order.
     pub fn new(spec: &DacSpec) -> Self {
         let b = spec.binary_bits;
-        let mut weights: Vec<u64> = (0..b).map(|i| 1u64 << i).collect();
-        weights.extend(std::iter::repeat_n(
-            spec.unary_weight(),
-            spec.unary_source_count(),
-        ));
-        let unary_order: Vec<usize> = (0..spec.unary_source_count()).collect();
+        let n_unary = spec.unary_source_count();
+        let mut weights = Vec::with_capacity(b as usize + n_unary);
+        weights.extend((0..b).map(|i| 1u64 << i));
+        weights.extend(std::iter::repeat_n(spec.unary_weight(), n_unary));
         Self {
             spec: *spec,
             weights,
-            unary_order,
+            unary_order: None,
         }
     }
 
@@ -57,7 +57,8 @@ impl SegmentedDac {
             assert!(!seen[cell], "cell {cell} appears twice");
             seen[cell] = true;
         }
-        self.unary_order = order;
+        let natural = order.iter().enumerate().all(|(rank, &cell)| rank == cell);
+        self.unary_order = (!natural).then_some(order);
         self
     }
 
@@ -110,7 +111,7 @@ impl SegmentedDac {
         }
         let thermometer = (code >> b) as usize;
         for rank in 0..thermometer {
-            states[b as usize + self.unary_order[rank]] = true;
+            states[b as usize + self.unary_cell(rank)] = true;
         }
         states
     }
@@ -148,7 +149,12 @@ impl SegmentedDac {
     /// Panics if `rank >= n_unary()`.
     pub fn unary_cell_at_rank(&self, rank: usize) -> usize {
         assert!(rank < self.n_unary(), "rank {rank} out of range");
-        self.n_binary() + self.unary_order[rank]
+        self.n_binary() + self.unary_cell(rank)
+    }
+
+    /// The unary-block index of the cell that turns on `rank`-th.
+    fn unary_cell(&self, rank: usize) -> usize {
+        self.unary_order.as_ref().map_or(rank, |order| order[rank])
     }
 
     /// Which cells change state between two codes: `(turning_on,
@@ -246,6 +252,20 @@ mod tests {
         let unary_states = &states[2..];
         assert!(unary_states[n - 1]);
         assert!(!unary_states[0]);
+    }
+
+    #[test]
+    fn identity_order_equals_the_natural_order() {
+        let d = dac();
+        let identity =
+            SegmentedDac::new(&DacSpec::paper_12bit()).with_unary_order((0..d.n_unary()).collect());
+        assert_eq!(identity, d);
+        let mut swapped: Vec<usize> = (0..d.n_unary()).collect();
+        swapped.swap(0, 1);
+        let permuted = SegmentedDac::new(&DacSpec::paper_12bit()).with_unary_order(swapped);
+        assert_ne!(permuted, d);
+        assert_eq!(permuted.unary_cell_at_rank(0), d.n_binary() + 1);
+        assert_eq!(permuted.unary_cell_at_rank(2), d.unary_cell_at_rank(2));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! 400s (or silence, when the client is already gone).
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -238,10 +238,14 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response and flushes. Every response carries
-/// `Connection: close` — the daemon is strictly one request per
-/// connection, which keeps the overload story simple (shedding closes the
-/// socket, nothing lingers).
+/// Writes one response. Every response carries `Connection: close` — the
+/// daemon is strictly one request per connection, which keeps the
+/// overload story simple (shedding closes the socket, nothing lingers).
+///
+/// Head and body leave in one vectored write (looping only on a partial
+/// write): two writes would let Nagle hold the body behind the
+/// unacknowledged head for a round trip, and joining them would copy the
+/// body.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -261,9 +265,16 @@ pub fn write_response(
         head.push_str(&format!("Retry-After: {secs}\r\n"));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes()).map_err(io_error)?;
-    stream.write_all(body.as_bytes()).map_err(io_error)?;
-    stream.flush().map_err(io_error)?;
+    let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match stream.write_vectored(pending) {
+            Ok(0) => return Err(io_error(std::io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
+        }
+    }
     Ok(())
 }
 
@@ -384,6 +395,30 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"), "{text}");
         assert!(text.contains("Content-Length: 17\r\n"), "{text}");
         assert!(text.ends_with("{\"status\":\"shed\"}"), "{text}");
+    }
+
+    #[test]
+    fn large_body_arrives_intact_in_one_response() {
+        let (mut client, mut server) = pair();
+        let body: String = (0..64 * 1024)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        // The peer reads concurrently: 64 KiB can exceed the socket
+        // buffers, so the write may complete only in parts.
+        let reader = std::thread::spawn(move || {
+            let mut raw = Vec::new();
+            client.read_to_end(&mut raw).expect("read");
+            raw
+        });
+        write_response(&mut server, 200, None, &body).expect("write");
+        drop(server);
+        let raw = reader.join().expect("reader");
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        assert_eq!(&raw[..head.len()], head.as_bytes());
+        assert!(raw[head.len()..] == *body.as_bytes(), "body corrupted");
     }
 
     #[test]

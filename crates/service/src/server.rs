@@ -8,6 +8,10 @@
 //!   itself: shed connections go to a bounded reject queue drained by a
 //!   dedicated shed thread (and opportunistically by idle workers), so a
 //!   slow client on the shed path can never stall `accept()`;
+//! * each thread class waits on its own condvar — workers on
+//!   `serve_ready`, the shed thread on `reject_ready` — so a wakeup for a
+//!   queued connection always lands on a thread that can take it, and
+//!   every wait is untimed (no polling);
 //! * admission sheds past the in-flight watermark or a tenant's rate;
 //! * cache hits are served even with the breaker open — they cost no
 //!   runtime work;
@@ -119,18 +123,28 @@ struct Shared {
     cache: ResultCache,
     engine: Engine,
     store: Option<Arc<Store>>,
+    /// Stored only while `queue` is locked, so a thread that checks it
+    /// under the lock and then waits cannot miss the drain's notify, and
+    /// the acceptor cannot queue a connection after a drainer has left.
     shutdown: AtomicBool,
     queue: Mutex<ConnQueue>,
-    wake: Condvar,
+    /// Signalled once per queued connection, serve or reject. Only
+    /// workers wait here, and a worker can take either kind of entry.
+    serve_ready: Condvar,
+    /// Signalled once per queued reject. Only the shed thread waits here.
+    reject_ready: Condvar,
 }
 
 impl Shared {
     /// Begins the drain: stop accepting, wake everyone. Idempotent.
     fn trigger_shutdown(&self) {
+        let queue = self.lock_queue();
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         // Self-connect so a blocked `accept()` observes the flag.
         let _ = TcpStream::connect(self.addr);
-        self.wake.notify_all();
+        self.serve_ready.notify_all();
+        self.reject_ready.notify_all();
     }
 
     fn lock_queue(&self) -> std::sync::MutexGuard<'_, ConnQueue> {
@@ -231,7 +245,8 @@ pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         store,
         shutdown: AtomicBool::new(false),
         queue: Mutex::new(ConnQueue::default()),
-        wake: Condvar::new(),
+        serve_ready: Condvar::new(),
+        reject_ready: Condvar::new(),
         addr,
         cfg,
     });
@@ -274,7 +289,11 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                 continue;
             }
         };
+        let mut queue = shared.lock_queue();
+        // Checked under the lock: once the flag is set nothing more is
+        // queued, so a drainer that saw it with empty queues is done.
         if shared.shutdown.load(Ordering::SeqCst) {
+            drop(queue);
             // The wake connection (or a late client) during drain. The
             // drainers may already be gone, so answer inline — this is a
             // one-time exit path and respond_error is wall-clock-bounded.
@@ -286,7 +305,6 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             );
             return;
         }
-        let mut queue = shared.lock_queue();
         if queue.serve.len() >= shared.cfg.queue_cap {
             obs::incr(obs::Counter::ServiceShed);
             // Never write from the acceptor: a slow client would stall
@@ -296,17 +314,20 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
                     stream,
                     ApiError::new(ErrorKind::Shed, "connection queue full").with_retry_after(1),
                 ));
+                drop(queue);
+                // The shed thread, plus one idle worker as backstop in
+                // case the shed thread is tied up in a trickling drain.
+                shared.reject_ready.notify_one();
+                shared.serve_ready.notify_one();
             } else {
                 // Reject queue full too: close unanswered rather than
                 // buffer without bound. `stream` drops here.
             }
-            drop(queue);
-            shared.wake.notify_one();
             continue;
         }
         queue.serve.push_back(stream);
         drop(queue);
-        shared.wake.notify_one();
+        shared.serve_ready.notify_one();
     }
 }
 
@@ -332,10 +353,9 @@ fn worker_loop(shared: &Shared) {
                 break None;
             }
             queue = shared
-                .wake
-                .wait_timeout(queue, Duration::from_millis(100))
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+                .serve_ready
+                .wait(queue)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         };
         drop(queue);
         match job {
@@ -368,16 +388,16 @@ fn shed_loop(shared: &Shared) {
                 break Some(j);
             }
             // No new rejects can arrive once the drain starts (the
-            // acceptor answers its last connection inline), so an empty
-            // reject queue at shutdown means this thread is done.
+            // acceptor checks the flag under this lock and answers its
+            // last connection inline), so an empty reject queue at
+            // shutdown means this thread is done.
             if shared.shutdown.load(Ordering::SeqCst) {
                 break None;
             }
             queue = shared
-                .wake
-                .wait_timeout(queue, Duration::from_millis(100))
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+                .reject_ready
+                .wait(queue)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         };
         drop(queue);
         match job {
@@ -585,6 +605,46 @@ fn handle_api(shared: &Shared, mode: Mode, body: &[u8]) -> Response {
                     error_response(&e)
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::sync::mpsc;
+
+    /// Waits are untimed, so a drainer that misses the drain's notify
+    /// sleeps forever. Even rounds shut down right after start, racing
+    /// threads on their way into their first wait (the flag is stored
+    /// under the queue lock, so none can check it and then miss the
+    /// notify); odd rounds first serve one request, so every worker and
+    /// the shed thread are parked on their condvars. Each `join` must
+    /// return promptly.
+    #[test]
+    fn shutdown_never_strands_an_idle_worker() {
+        for round in 0..100 {
+            let server = start(ServerConfig::default()).expect("bind");
+            if round % 2 == 1 {
+                let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+                stream
+                    .write_all(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+                    .expect("send");
+                let mut reply = String::new();
+                stream.read_to_string(&mut reply).expect("read");
+                assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+            }
+            server.shutdown();
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                server.join();
+                let _ = done_tx.send(());
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+                "join hung in round {round}"
+            );
         }
     }
 }

@@ -44,9 +44,13 @@
 # 9. Service smoke: a real `dacd` process with chaos armed must serve a
 #    computed sizing request, re-serve an identical repeat bit-for-bit
 #    from the cache, turn a too-short deadline into a typed 504 via
-#    runtime cancellation, absorb the injected worker panics, and drain
-#    cleanly on POST /v1/shutdown with exit code 0 — no orphaned pool
-#    workers (a stuck chunk would hang the drain and fail the stage).
+#    runtime cancellation, absorb the injected worker panics, keep the
+#    dispatch tail short (one curl process fetches /v1/healthz 200 times
+#    in sequence; more than 2 transfers over 50 ms fail the stage, which
+#    is what a wakeup lost to a thread that cannot serve looks like),
+#    and drain cleanly on POST /v1/shutdown with exit code 0 — no
+#    orphaned pool workers (a stuck chunk would hang the drain and fail
+#    the stage).
 # 10. Durable-store crash smoke: `dacd --store` with a deterministic
 #    short_write failpoint armed is loaded, SIGKILLed mid-write, and
 #    restarted on the same directory. The restarted daemon must serve
@@ -296,6 +300,22 @@ if [ "$code" != 200 ] || ! grep -q 'pool.faults_absorbed' "$svc.metrics"; then
     echo "FAIL: /v1/metrics lost the absorbed-fault counters ($code)"
     cat "$svc.metrics"; exit 1
 fi
+# Dispatch tail: 200 sequential healthz transfers from one curl process
+# (each a fresh connection: every response is Connection: close).
+healthz_times() {
+    set --
+    for _ in $(seq 1 200); do
+        set -- "$@" -o /dev/null "http://$dacd_addr/v1/healthz"
+    done
+    curl -sS -w '%{time_total}\n' "$@"
+}
+healthz_times > "$svc.tail"
+transfers=$(wc -l < "$svc.tail")
+slow=$(awk '$1 > 0.050' "$svc.tail" | wc -l)
+if [ "$transfers" -ne 200 ] || [ "$slow" -gt 2 ]; then
+    echo "FAIL: healthz tail: $slow of $transfers transfers over 50 ms"
+    sort -n "$svc.tail" | tail -5; exit 1
+fi
 code=$(post /v1/shutdown "$svc.bye" '')
 if [ "$code" != 200 ]; then
     echo "FAIL: shutdown returned $code"
@@ -310,7 +330,7 @@ if ! grep -q 'drained; goodbye' "$dacd_log"; then
     cat "$dacd_log"; exit 1
 fi
 rm -f "$svc.miss" "$svc.hit" "$svc.miss.n" "$svc.hit.n" \
-      "$svc.dl" "$svc.metrics" "$svc.bye" "$dacd_log"
+      "$svc.dl" "$svc.metrics" "$svc.tail" "$svc.bye" "$dacd_log"
 
 echo "==> durable-store crash smoke (dacd --store, kill -9 mid-write, recover)"
 # A dacd with the segment-log store and a deterministic torn-write
